@@ -14,11 +14,17 @@ A collection combines
 Every operation returns an :class:`OperationResult` carrying the simulated
 cost so workload drivers can account latency without real sleeping.
 
-**Copy-on-write document protocol.**  The write boundary
-(:meth:`insert_one` / :meth:`insert_many` / the update paths) freezes one
-canonical stored document per write -- validated, deep-copied and sized in a
-single walk (:func:`~repro.docstore.documents.freeze_document`) -- and the
-engines store that object as-is.  Reads hand the stored object back by
+**Copy-on-write document protocol.**  The insert boundary
+(:meth:`insert_one` / :meth:`insert_many`) freezes one canonical stored
+document per write -- validated, deep-copied and sized in a single walk
+(:func:`~repro.docstore.documents.freeze_document`) -- and the engines store
+that object as-is.  Updates build the next version copy-on-write
+(:func:`~repro.docstore.update_ops.apply_update` shares every untouched
+subtree with the stored one and sizes it by delta) and re-index only the
+keys that changed; oplog replay (:meth:`apply_replicated`) installs the
+primary's very object on every secondary.  Stored documents are therefore
+immutable and may be shared across versions, members and the oplog.  Reads
+hand the stored object back by
 reference to *internal* consumers (planner re-checks, index maintenance,
 oplog capture, router merging); only the client surface
 (:class:`~repro.docstore.cursor.Cursor`, :meth:`find_one`,
@@ -63,13 +69,12 @@ from repro.docstore.observability import render_query_shape
 from repro.docstore.documents import (
     clone_document,
     freeze_document,
-    measure_document,
     with_id,
 )
 from repro.docstore.engine_base import StorageEngine
 from repro.docstore.indexes import IndexCatalog, OrderedSecondaryIndex, SecondaryIndex
 from repro.docstore.matching import matches
-from repro.docstore.planner import QueryPlanner
+from repro.docstore.planner import ID_LOOKUP, QueryPlanner
 from repro.docstore.update_ops import apply_update
 from repro.errors import DocumentStoreError, DuplicateKeyError
 
@@ -134,12 +139,13 @@ class Collection:
         # collections (record ids are ``str(_id)``).  Conservatively sticky:
         # deleting the offending document does not reset it.
         self._has_non_string_ids = False
-        # Optional write observer ``(operation, record_id, post_image)`` fired
-        # after every successful document change.  The replication subsystem
-        # attaches one to a primary's collections to capture the exact
-        # post-images its oplog replays on secondaries; ``None`` costs
-        # nothing.  Post-images are the frozen stored documents -- listeners
-        # may keep references but must never mutate them.
+        # Optional write observer ``(operation, record_id, post_image, size)``
+        # fired after every successful document change.  The replication
+        # subsystem attaches one to a primary's collections to capture the
+        # exact post-images (and their sizes) its oplog replays on
+        # secondaries; ``None`` costs nothing.  Post-images are the frozen
+        # stored documents -- listeners may keep and share references but
+        # must never mutate them.
         self.change_listener: Any = None
         # Serialises index mutations (catalog + _id index); nested strictly
         # inside a held write lock (see the module docstring's hierarchy).
@@ -181,23 +187,30 @@ class Collection:
     def _insert_one(self, document: dict[str, Any]) -> OperationResult:
         record_id, frozen, size = self._prepare_insert(document)
         with self.engine.locks.write(record_id):
-            # The duplicate check in _prepare_insert ran outside the lock and
-            # is only a fast-fail; identical record ids map to the same
-            # stripe, so this re-check under the write lock is authoritative
-            # -- exactly one of two concurrent same-id inserts succeeds.
-            if record_id in self._ids:
-                raise DuplicateKeyError(
-                    f"duplicate _id {record_id!r} in collection {self.name!r}"
-                )
-            with self._index_latch:
-                self._index_new_document(record_id, frozen)
-            cost = self.engine.insert(record_id, frozen, size)
-            cost += self.engine.index_maintenance_cost(len(self.indexes))
-            self._ids.add(record_id)
-            self._notify("insert", record_id, frozen)
+            cost = self._store_new(record_id, frozen, size)
         return OperationResult(
             inserted_ids=[record_id], modified_count=0, simulated_seconds=cost
         )
+
+    def _store_new(self, record_id: str, frozen: dict[str, Any], size: int) -> float:
+        """Index, store and announce a new frozen document (write lock held).
+
+        The duplicate check in :meth:`_prepare_insert` ran outside the lock
+        and is only a fast-fail; identical record ids map to the same stripe,
+        so this re-check under the write lock is authoritative -- exactly one
+        of two concurrent same-id inserts succeeds.
+        """
+        if record_id in self._ids:
+            raise DuplicateKeyError(
+                f"duplicate _id {record_id!r} in collection {self.name!r}"
+            )
+        with self._index_latch:
+            self._index_new_document(record_id, frozen)
+        cost = self.engine.insert(record_id, frozen, size)
+        cost += self.engine.index_maintenance_cost(len(self.indexes))
+        self._ids.add(record_id)
+        self._notify("insert", record_id, frozen, size)
+        return cost
 
     def insert_many(self, documents: list[dict[str, Any]]) -> OperationResult:
         """Insert several documents as one batch.
@@ -250,10 +263,10 @@ class Collection:
                 cost = self.engine.insert_batch(records)
                 cost += self.engine.index_maintenance_cost(len(self.indexes),
                                                            operations=len(records))
-                for record_id, frozen, __ in records:
+                for record_id, frozen, size in records:
                     self._ids.add(record_id)
                     inserted.append(record_id)
-                    self._notify("insert", record_id, frozen)
+                    self._notify("insert", record_id, frozen, size)
         if error is not None:
             raise error
         return OperationResult(inserted_ids=inserted, simulated_seconds=cost)
@@ -266,6 +279,8 @@ class Collection:
         absent entries) guarantees a failed insert leaves no phantom index
         entries behind.
         """
+        if type(frozen["_id"]) is not str:
+            self._has_non_string_ids = True
         try:
             self.indexes.add_document(record_id, frozen)
             self._id_index.add(record_id, frozen)
@@ -282,10 +297,7 @@ class Collection:
             )
         stored = with_id(document)
         frozen, size = freeze_document(stored)
-        identifier = frozen["_id"]
-        if type(identifier) is not str:
-            self._has_non_string_ids = True
-        record_id = str(identifier)
+        record_id = str(frozen["_id"])
         if record_id in self._ids:
             raise DuplicateKeyError(
                 f"duplicate _id {record_id!r} in collection {self.name!r}"
@@ -318,18 +330,12 @@ class Collection:
             if record_id is None:
                 return OperationResult(matched_count=0, simulated_seconds=total_cost)
             with self.engine.locks.write(record_id):
-                current = self.engine.peek(record_id)
+                current, current_size = self.engine.peek_with_size(record_id)
                 if current is None or (current is not document
                                        and not matches(current, query)):
                     continue  # lost the race with a concurrent writer: re-find
-                new_document = apply_update(current, update)
-                size = measure_document(new_document)
-                with self._index_latch:
-                    self.indexes.remove_document(record_id, current)
-                    self.indexes.add_document(record_id, new_document)
-                cost = self.engine.update(record_id, new_document, size)
-                cost += self.engine.index_maintenance_cost(len(self.indexes))
-                self._notify("update", record_id, new_document)
+                new_document, size = apply_update(current, current_size, update)
+                cost = self._store_version(record_id, current, new_document, size)
             return OperationResult(
                 matched_count=1,
                 modified_count=0 if new_document == current else 1,
@@ -360,18 +366,13 @@ class Collection:
         for document in matches_found.documents:
             record_id = str(document["_id"])
             with self.engine.locks.write(record_id):
-                current = self.engine.peek(record_id)
+                current, current_size = self.engine.peek_with_size(record_id)
                 if current is None or (current is not document
                                        and not matches(current, query)):
                     continue
-                new_document = apply_update(current, update)
-                size = measure_document(new_document)
-                with self._index_latch:
-                    self.indexes.remove_document(record_id, current)
-                    self.indexes.add_document(record_id, new_document)
-                total_cost += self.engine.update(record_id, new_document, size)
-                total_cost += self.engine.index_maintenance_cost(len(self.indexes))
-                self._notify("update", record_id, new_document)
+                new_document, size = apply_update(current, current_size, update)
+                total_cost = self._store_version(record_id, current, new_document,
+                                                 size, total_cost)
             matched += 1
             if new_document != current:
                 modified += 1
@@ -380,6 +381,19 @@ class Collection:
             modified_count=modified,
             simulated_seconds=total_cost,
         )
+
+    def _store_version(self, record_id: str, current: dict[str, Any],
+                       new_document: dict[str, Any], size: int,
+                       cost: float = 0.0) -> float:
+        """Re-index, store and announce ``new_document`` as the successor of
+        ``current`` (write lock held); returns ``cost`` plus the engine and
+        index-maintenance charges, added in that order."""
+        with self._index_latch:
+            self.indexes.replace_document(record_id, current, new_document)
+        cost += self.engine.update(record_id, new_document, size)
+        cost += self.engine.index_maintenance_cost(len(self.indexes))
+        self._notify("update", record_id, new_document, size)
+        return cost
 
     def replace_one(self, query: dict[str, Any], replacement: dict[str, Any]) -> OperationResult:
         """Replace the first matching document wholesale."""
@@ -409,12 +423,7 @@ class Collection:
                 if current is None or (current is not document
                                        and not matches(current, query)):
                     continue  # lost the race with a concurrent writer: re-find
-                with self._index_latch:
-                    self.indexes.remove_document(record_id, current)
-                    self._id_index.remove(record_id, current)
-                cost = self.engine.delete(record_id)
-                self._ids.discard(record_id)
-                self._notify("delete", record_id, None)
+                cost = self._remove_stored(record_id, current)
             return OperationResult(deleted_count=1, simulated_seconds=total_cost + cost)
 
     def delete_many(self, query: dict[str, Any]) -> OperationResult:
@@ -438,16 +447,72 @@ class Collection:
                 if current is None or (current is not document
                                        and not matches(current, query)):
                     continue
-                with self._index_latch:
-                    self.indexes.remove_document(record_id, current)
-                    self._id_index.remove(record_id, current)
-                total_cost += self.engine.delete(record_id)
-                self._ids.discard(record_id)
-                self._notify("delete", record_id, None)
+                total_cost += self._remove_stored(record_id, current)
             deleted += 1
         return OperationResult(
             deleted_count=deleted, simulated_seconds=total_cost
         )
+
+    def _remove_stored(self, record_id: str, current: dict[str, Any]) -> float:
+        """Unindex, delete and announce a stored document (write lock held)."""
+        with self._index_latch:
+            self.indexes.remove_document(record_id, current)
+            self._id_index.remove(record_id, current)
+        cost = self.engine.delete(record_id)
+        self._ids.discard(record_id)
+        self._notify("delete", record_id, None, None)
+        return cost
+
+    # -- replication ------------------------------------------------------------
+
+    def apply_replicated(self, record_id: str, document: dict[str, Any] | None,
+                         size: int | None = None) -> OperationResult:
+        """Install a replicated post-image under ``record_id`` (``None`` deletes).
+
+        The oplog replay path.  ``document`` is the primary's frozen stored
+        version and ``size`` its size, so this member stores the very same
+        object: no copy, no re-validation and no query (record ids address
+        non-string ``_id`` values too).  Replay converges idempotently: a
+        present record is updated in place (keeping scan order), an absent
+        one inserted, and deleting an absent record is a no-op.  Locks,
+        notifications, profiler spans and simulated cost are those of the
+        client write it mirrors, including the ``_id`` locate's engine read.
+        """
+        if document is None:
+            if record_id not in self._ids:
+                return OperationResult()
+            op = "delete"
+        else:
+            op = "update" if record_id in self._ids else "insert"
+        profiler = self.profiler
+        if profiler is None or not profiler.enabled:
+            return self._apply_replicated(op, record_id, document, size)
+        query = None if op == "insert" else {"_id": record_id}
+        with self._profiled(op, query) as span:
+            result = self._apply_replicated(op, record_id, document, size, span)
+            span.note_result(result)
+            return result
+
+    def _apply_replicated(self, op: str, record_id: str,
+                          document: dict[str, Any] | None, size: int | None,
+                          span: Any = None) -> OperationResult:
+        with self.engine.locks.write(record_id):
+            if op == "insert":
+                cost = self._store_new(record_id, document, size)
+                return OperationResult(inserted_ids=[record_id],
+                                       simulated_seconds=cost)
+            current, read_cost = self.engine.read(record_id)  # the _id locate
+            if span is not None:
+                span.note_plan(ID_LOOKUP, "fast_id")
+                span.docs_examined += 1
+            if op == "delete":
+                return OperationResult(
+                    deleted_count=1,
+                    simulated_seconds=read_cost + self._remove_stored(record_id, current))
+            cost = self._store_version(record_id, current, document, size)
+            return OperationResult(matched_count=1,
+                                   modified_count=0 if document == current else 1,
+                                   simulated_seconds=read_cost + cost)
 
     # -- reads ---------------------------------------------------------------------
 
@@ -594,13 +659,14 @@ class Collection:
         """Create a secondary index on ``field_path`` and backfill it.
 
         DDL runs under the collection-exclusive batch lock so the backfill
-        scan cannot interleave with concurrent writers.
+        scan cannot interleave with concurrent writers; the index becomes
+        visible to (latch-free) planners only once fully built.
         """
         with self.engine.locks.write_batch():
             with self._index_latch:
-                index = self.indexes.create(field_path, unique=unique)
-                for record_id, document, __ in self.engine.scan():
-                    index.add(record_id, document)
+                self.indexes.create(field_path, unique=unique, documents=(
+                    (record_id, document)
+                    for record_id, document, __ in self.engine.scan()))
             self.planner.invalidate_cache()
         return field_path
 
@@ -624,9 +690,9 @@ class Collection:
     # -- internals -------------------------------------------------------------------------
 
     def _notify(self, operation: str, record_id: str,
-                document: dict[str, Any] | None) -> None:
+                document: dict[str, Any] | None, size: int | None) -> None:
         if self.change_listener is not None:
-            self.change_listener(operation, record_id, document)
+            self.change_listener(operation, record_id, document, size)
 
     def index_for(self, field_path: str) -> SecondaryIndex | None:
         """The index usable for ``field_path`` (the ``_id`` index included)."""

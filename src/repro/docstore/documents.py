@@ -12,9 +12,13 @@ Hot-path helpers (the copy-on-write write/read boundary):
   *single* recursive walk.  The collection write boundary calls it once per
   write to produce the canonical stored document -- engines store that object
   directly and never copy again.
-* :func:`measure_document` validates and sizes a document the caller already
-  owns exclusively (the update path: :func:`~repro.docstore.update_ops.apply_update`
-  returns a fresh, unaliased document, so re-copying it would be waste).
+* :func:`resize_document` sizes the copy-on-write successor of a stored
+  document by delta: :func:`~repro.docstore.update_ops.apply_update` copies
+  only the containers on each modified path and shares every untouched
+  subtree, so only the top-level entries whose value object changed are
+  re-measured (and validated).
+* :func:`measure_document` validates and sizes a whole document without
+  copying it, for a caller that holds an immutable document but not its size.
 * :func:`clone_document` is the defensive copy the *client surface* hands
   out -- a fast recursive copy specialised to JSON-like values (no ``copy``
   module dispatch or memoisation), applied exactly once per returned
@@ -126,6 +130,11 @@ def freeze_document(document: dict[str, Any]) -> tuple[dict[str, Any], int]:
     return _freeze_dict(document, "")
 
 
+def freeze_value(value: Any, path: str) -> Any:
+    """Validated deep copy of one field value (an update operand) at ``path``."""
+    return _freeze_value(value, path)[0]
+
+
 def _freeze_dict(value: dict[str, Any], path: str) -> tuple[dict[str, Any], int]:
     copied: dict[str, Any] = {}
     size = 5
@@ -167,11 +176,11 @@ def _freeze_value(value: Any, path: str) -> tuple[Any, int]:
 
 
 def measure_document(document: dict[str, Any]) -> int:
-    """Validate and size a document the caller exclusively owns (one walk).
+    """Validate and size a document without copying it (one walk).
 
-    Used by the update path: :func:`~repro.docstore.update_ops.apply_update`
-    already returns a fresh, unaliased document, so freezing it again would
-    copy for nothing.  Raises on invalid documents exactly like
+    For documents that are already immutable but whose size is unknown --
+    the delta path (:func:`resize_document`) covers every write that has a
+    previous size.  Raises on invalid documents exactly like
     :func:`validate_document`.
     """
     if not isinstance(document, dict):
@@ -181,20 +190,48 @@ def measure_document(document: dict[str, Any]) -> int:
     return _measure_dict(document, "")
 
 
+_ABSENT = object()
+
+
+def resize_document(old: dict[str, Any], old_size: int, new: dict[str, Any]) -> int:
+    """Size ``new``, a copy-on-write successor of ``old`` (of ``old_size``).
+
+    Sizes are additive per top-level entry, so the new size is the old one
+    minus the entries whose value object changed or vanished, plus the new
+    entries.  Entries still holding the *same* object are skipped: stored
+    documents are never mutated in place, so identity proves they did not
+    change.  The new entries are validated as :func:`measure_document`
+    would, raising the same :class:`DocumentStoreError` on invalid values.
+    """
+    size = old_size
+    for key, value in old.items():
+        if new.get(key, _ABSENT) is not value:
+            size -= len(key.encode("utf-8")) + 2 + document_size(value)
+    for key, value in new.items():
+        if old.get(key, _ABSENT) is not value:
+            size += _measure_entry(key, value)
+    return size
+
+
 def _measure_dict(value: dict[str, Any], path: str) -> int:
     size = 5
     for key, item in value.items():
-        if not isinstance(key, str):
-            raise DocumentStoreError(
-                f"document keys must be strings (at {path or '<root>'}), got {key!r}"
-            )
-        if key.startswith("$"):
-            raise DocumentStoreError(
-                f"field names may not start with '$' (at {path}.{key})"
-            )
-        size += len(key.encode("utf-8")) + 2 + _measure_value(
-            item, f"{path}.{key}" if path else key)
+        size += _measure_entry(key, item, path)
     return size
+
+
+def _measure_entry(key: Any, item: Any, path: str = "") -> int:
+    """Validate and size one ``key: item`` entry of the object at ``path``."""
+    if not isinstance(key, str):
+        raise DocumentStoreError(
+            f"document keys must be strings (at {path or '<root>'}), got {key!r}"
+        )
+    if key.startswith("$"):
+        raise DocumentStoreError(
+            f"field names may not start with '$' (at {path}.{key})"
+        )
+    return len(key.encode("utf-8")) + 2 + _measure_value(
+        item, f"{path}.{key}" if path else key)
 
 
 def _measure_value(value: Any, path: str) -> int:
@@ -261,25 +298,33 @@ def get_path(document: dict[str, Any], path: str) -> tuple[bool, Any]:
 
 
 def set_path(document: dict[str, Any], path: str, value: Any) -> None:
-    """Set ``value`` at dotted ``path``, creating intermediate objects."""
+    """Set ``value`` at dotted ``path``, creating intermediate objects.
+
+    Copy-on-write: ``document`` (the root) is modified in place, but every
+    nested dict or list the path descends into is replaced by a shallow copy
+    before it is written.  So when ``document`` is a fresh shallow copy of a
+    stored version, the stored version and all its untouched subtrees -- which
+    the new version keeps sharing -- are never modified.
+    """
     segments = path.split(".")
     current: Any = document
     for segment in segments[:-1]:
         if isinstance(current, list) and segment.isdigit():
-            index = int(segment)
-            while len(current) <= index:
+            key: Any = int(segment)
+            while len(current) <= key:
                 current.append({})
-            current = current[index]
-            continue
-        if not isinstance(current, dict):
+        elif not isinstance(current, dict):
             raise DocumentStoreError(f"cannot descend into {segment!r} on {path!r}")
-        if segment not in current:
-            current[segment] = {}
+        elif segment not in current:
+            current[segment] = current = {}
+            continue
         elif not isinstance(current[segment], (dict, list)):
             raise DocumentStoreError(
                 f"cannot set {path!r}: {segment!r} is not a document or array"
             )
-        current = current[segment]
+        else:
+            key = segment
+        current[key] = current = _copy_container(current[key])
     last = segments[-1]
     if isinstance(current, list) and last.isdigit():
         index = int(last)
@@ -293,18 +338,28 @@ def set_path(document: dict[str, Any], path: str, value: Any) -> None:
 
 
 def unset_path(document: dict[str, Any], path: str) -> bool:
-    """Remove the value at dotted ``path``; returns True if something was removed."""
-    segments = path.split(".")
+    """Remove the value at dotted ``path``; returns True if something was removed.
+
+    Copy-on-write like :func:`set_path`; containers are copied only when the
+    field exists and is removed.
+    """
+    parent_path, __, last = path.rpartition(".")
+    segments = parent_path.split(".") if parent_path else []
+    parent = get_path(document, parent_path)[1] if segments else document
+    if not isinstance(parent, dict) or last not in parent:
+        return False
     current: Any = document
-    for segment in segments[:-1]:
-        if isinstance(current, dict) and segment in current:
-            current = current[segment]
-        elif isinstance(current, list) and segment.isdigit() and int(segment) < len(current):
-            current = current[int(segment)]
-        else:
-            return False
-    last = segments[-1]
-    if isinstance(current, dict) and last in current:
-        del current[last]
-        return True
-    return False
+    for segment in segments:
+        key: Any = int(segment) if isinstance(current, list) else segment
+        current[key] = current = _copy_container(current[key])
+    del current[last]
+    return True
+
+
+def _copy_container(value: Any) -> Any:
+    """A shallow copy of a dict or list on a modified path (scalars as-is)."""
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, list):
+        return list(value)
+    return value

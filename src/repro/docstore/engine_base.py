@@ -108,6 +108,12 @@ class StorageEngine(ABC):
         document, __ = self.read(record_id)
         return document
 
+    @abstractmethod
+    def peek_with_size(self, record_id: str) -> tuple[dict[str, Any] | None, int]:
+        """Charge-free ``(document, size)`` of a stored record (``(None, 0)``
+        when absent): the size recorded at write time, which the update
+        paths resize by delta."""
+
     def verify_accounting(self) -> None:
         """Assert internal byte-accounting invariants (no-op by default).
 

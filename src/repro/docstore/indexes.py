@@ -21,7 +21,7 @@ the two storage engines stay comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.docstore.btree import BTree
 from repro.docstore.documents import get_path
@@ -207,12 +207,23 @@ class IndexCatalog:
     def __init__(self) -> None:
         self._indexes: dict[str, SecondaryIndex] = {}
 
-    def create(self, field_path: str, unique: bool = False) -> SecondaryIndex:
-        """Create (or return the existing) ordered index on ``field_path``."""
-        if field_path in self._indexes:
-            return self._indexes[field_path]
-        index = OrderedSecondaryIndex(field_path, unique=unique)
-        self._indexes[field_path] = index
+    def create(self, field_path: str, unique: bool = False,
+               documents: Iterable[tuple[str, dict[str, Any]]] = ()) -> SecondaryIndex:
+        """Create (or return the existing) ordered index on ``field_path``,
+        backfilled from ``(record_id, document)`` pairs.
+
+        A new index is published only after its backfill, so latch-free
+        planners never choose a half-built index, and a failing backfill (a
+        unique violation) leaves no index behind.
+        """
+        index = self._indexes.get(field_path)
+        published = index is not None
+        if not published:
+            index = OrderedSecondaryIndex(field_path, unique=unique)
+        for record_id, document in documents:
+            index.add(record_id, document)
+        if not published:
+            self._indexes[field_path] = index
         return index
 
     def drop(self, field_path: str) -> bool:
@@ -237,3 +248,30 @@ class IndexCatalog:
     def remove_document(self, record_id: str, document: dict[str, Any]) -> None:
         for index in self._indexes.values():
             index.remove(record_id, document)
+
+    def replace_document(self, record_id: str, old: dict[str, Any],
+                         new: dict[str, Any]) -> None:
+        """Re-index ``record_id`` from version ``old`` to ``new``.
+
+        Only indexes whose key changed are touched: when the indexed path
+        resolves to the *same object* in both versions, the key provably did
+        not change (stored documents are never mutated in place, and updates
+        share untouched subtrees).  On failure -- a unique violation -- every
+        index already touched gets its ``old`` entries back, so a failed
+        update leaves the indexes exactly as they were.
+        """
+        touched: list[SecondaryIndex] = []
+        try:
+            for index in self._indexes.values():
+                old_found, old_value = get_path(old, index.field_path)
+                new_found, new_value = get_path(new, index.field_path)
+                if old_value is new_value and old_found == new_found:
+                    continue
+                touched.append(index)
+                index.remove(record_id, old)
+                index.add(record_id, new)
+        except Exception:
+            for index in touched:  # removal tolerates absent entries
+                index.remove(record_id, new)
+                index.add(record_id, old)
+            raise

@@ -52,9 +52,10 @@ _MAX_EXTENT_BYTES = 512 * 1024 * 1024
 
 @dataclass
 class _Record:
-    """One stored record: the document plus its padded allocation."""
+    """One stored record: the document, its exact size and its padded allocation."""
 
     document: dict[str, Any]
+    size: int
     allocated_bytes: int
     extent: int
 
@@ -121,7 +122,7 @@ class MmapV1Engine(StorageEngine):
         size = self._size_of(document, size)
         allocated = int(size * self.padding_factor)
         extent = self._allocate(allocated)
-        self._records[record_id] = _Record(document, allocated, extent)
+        self._records[record_id] = _Record(document, size, allocated, extent)
         return (
             self.parameters.base_operation
             + self.parameters.node_access  # namespace/extent bookkeeping
@@ -142,6 +143,10 @@ class MmapV1Engine(StorageEngine):
         record = self._records.get(record_id)
         return record.document if record is not None else None
 
+    def peek_with_size(self, record_id: str) -> tuple[dict[str, Any] | None, int]:
+        record = self._records.get(record_id)
+        return (None, 0) if record is None else (record.document, record.size)
+
     def update(self, record_id: str, document: dict[str, Any],
                size: int | None = None) -> float:
         new_size = self._size_of(document, size)
@@ -153,13 +158,14 @@ class MmapV1Engine(StorageEngine):
             if new_size <= record.allocated_bytes:
                 # In-place update: only the touched bytes are flushed.
                 record.document = document
+                record.size = new_size
                 cost += kilobytes(new_size) * self.parameters.disk_write_per_kb
             else:
                 # Document outgrew its padding: move it to a fresh allocation.
                 allocated = int(new_size * self.padding_factor)
                 extent = self._allocate(allocated)
                 self._free(record.extent, record.allocated_bytes)
-                self._records[record_id] = _Record(document, allocated, extent)
+                self._records[record_id] = _Record(document, new_size, allocated, extent)
                 self._document_moves += 1
                 cost += (
                     self.parameters.document_move

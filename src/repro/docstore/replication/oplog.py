@@ -12,14 +12,21 @@ life, which is what makes lag, catch-up, restart-resync and rollback simple:
   a new primary always order after everything the old primary wrote -- even
   after a rollback truncated the tail of the log.
 * **Idempotent entries.**  CRUD entries store the *effect*, not the command:
-  inserts and updates carry the full post-image and replay as "put this exact
-  document at this ``_id``", deletes as "ensure this ``_id`` is gone".
-  Re-applying an entry (or a whole batch, in order) leaves the data
-  unchanged, so a secondary that replays overlapping windows converges to
-  the same state.  Updates of existing documents replay in place
-  (:meth:`Collection.replace_one`), preserving the engine's insertion order
-  so a promoted secondary scans documents in the same order its old primary
-  did.
+  inserts and updates carry the full post-image (and its size) and replay as
+  "put this exact document at this record id", deletes as "ensure this
+  record id is gone".  Re-applying an entry (or a whole batch, in order)
+  leaves the data unchanged, so a secondary that replays overlapping windows
+  converges to the same state.  Replay goes through
+  :meth:`Collection.apply_replicated`, which addresses the record by id (so
+  non-string ``_id`` values replay too) and updates existing documents in
+  place, preserving the engine's insertion order so a promoted secondary
+  scans documents in the same order its old primary did.
+
+Post-images are shared, not copied.  A primary's entries hold its frozen
+stored documents by reference, and replay installs that same object on every
+secondary: one client write costs one copy-on-write version across the whole
+replica set.  This is safe because stored documents are never mutated in
+place.
 
 DDL changes (index create/drop, collection/database drops) are logged too so
 that a full replay from an empty server reconstructs a member exactly.
@@ -28,12 +35,12 @@ that a full replay from an empty server reconstructs a member exactly.
 from __future__ import annotations
 
 import bisect
-import copy
 import threading
 from dataclasses import dataclass, field
-from functools import total_ordering
-from typing import TYPE_CHECKING, Any, Iterator
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
+from repro.docstore.documents import freeze_document
 from repro.errors import DocumentStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,12 +56,15 @@ OP_DROP_DATABASE = "drop_database"
 OP_NOOP = "noop"
 
 _DOCUMENT_OPS = (OP_INSERT, OP_UPDATE, OP_DELETE)
+_OPTIME = attrgetter("optime")
 
 
-@total_ordering
-@dataclass(frozen=True)
-class OpTime:
-    """A replication timestamp: election term plus log position."""
+class OpTime(NamedTuple):
+    """A replication timestamp: election term plus log position.
+
+    A tuple, so ordering, equality and hashing are C-level tuple operations
+    (the oplog's tail lookup compares optimes on every bisection probe).
+    """
 
     term: int = 0
     index: int = 0
@@ -63,19 +73,17 @@ class OpTime:
         """JSON-friendly ``[term, index]`` form (for statuses and tests)."""
         return [self.term, self.index]
 
-    def _key(self) -> tuple[int, int]:
-        return (self.term, self.index)
-
-    def __lt__(self, other: "OpTime") -> bool:
-        return self._key() < other._key()
-
 
 ZERO_OPTIME = OpTime(0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OplogEntry:
-    """One idempotent change: a document post-image, a delete, or DDL."""
+    """One idempotent change: a document post-image, a delete, or DDL.
+
+    ``size`` is the post-image's ``document_size`` (None for entries without
+    a document), so replay never re-measures what the primary measured.
+    """
 
     optime: OpTime
     operation: str
@@ -85,6 +93,7 @@ class OplogEntry:
     document: dict[str, Any] | None = None
     field_path: str | None = None
     unique: bool = False
+    size: int | None = None
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -118,19 +127,22 @@ class Oplog:
     def append(self, term: int, operation: str, database: str, collection: str = "",
                record_id: str | None = None, document: dict[str, Any] | None = None,
                field_path: str | None = None, unique: bool = False,
-               frozen: bool = False) -> OplogEntry:
+               frozen: bool = False, size: int | None = None) -> OplogEntry:
         """Stamp the next optime onto a change and append it (atomically).
 
         ``frozen=True`` declares that ``document`` is a canonical stored
         post-image from the copy-on-write write boundary -- an object that is
-        never mutated in place -- so the log can hold the reference directly.
-        Arbitrary caller documents (the default) are still deep-copied so
-        later mutations can never retroactively change what secondaries
-        replay.
+        never mutated in place -- of ``size`` bytes, so the log holds the
+        reference directly and replay installs it as-is.  Arbitrary caller
+        documents (the default) are frozen first (validated, copied and
+        sized), so later mutations can never retroactively change what
+        secondaries replay.
         """
         if operation in _DOCUMENT_OPS and record_id is None:
             raise DocumentStoreError(f"oplog {operation} entries need a record_id")
-        payload = document if frozen else copy.deepcopy(document)
+        payload = document
+        if document is not None and not frozen:
+            payload, size = freeze_document(document)
         with self._append_lock:
             entry = OplogEntry(
                 optime=OpTime(term, self._next_index),
@@ -141,6 +153,7 @@ class Oplog:
                 document=payload,
                 field_path=field_path,
                 unique=unique,
+                size=size,
             )
             if self._entries:
                 last = self._entries[-1].optime
@@ -161,8 +174,7 @@ class Oplog:
     def _position_after(self, optime: OpTime) -> int:
         """Index of the first entry ordered after ``optime`` (binary search;
         entry optimes are strictly increasing by construction)."""
-        return bisect.bisect_right(self._entries, optime,
-                                   key=lambda entry: entry.optime)
+        return bisect.bisect_right(self._entries, optime, key=_OPTIME)
 
     def entries_after(self, optime: OpTime,
                       through: OpTime | None = None) -> list[OplogEntry]:
@@ -201,8 +213,9 @@ def apply_entry(server: "DocumentServer", entry: OplogEntry) -> float:
 
     Inserts and updates converge to "``record_id`` holds exactly this
     post-image" (replacing in place when present so engine scan order matches
-    the primary's); deletes to "``record_id`` is absent".  DDL entries are
-    no-ops when their effect already holds.
+    the primary's); deletes to "``record_id`` is absent".  Both install by
+    record id and by reference (:meth:`Collection.apply_replicated`).  DDL
+    entries are no-ops when their effect already holds.
     """
     if entry.operation == OP_NOOP:
         return 0.0
@@ -228,15 +241,8 @@ def apply_entry(server: "DocumentServer", entry: OplogEntry) -> float:
         if collection.indexes.get(entry.field_path) is None:
             collection.create_index(entry.field_path, unique=entry.unique)
         return 0.0
-    if entry.operation in (OP_INSERT, OP_UPDATE):
-        # The member's write boundary freezes (copies) the post-image before
-        # storing it, so the entry can be handed over by reference.
-        if entry.record_id in collection.record_ids():
-            return collection.replace_one(
-                {"_id": entry.record_id}, entry.document).simulated_seconds
-        return collection.insert_one(entry.document).simulated_seconds
-    if entry.operation == OP_DELETE:
-        if entry.record_id in collection.record_ids():
-            return collection.delete_one({"_id": entry.record_id}).simulated_seconds
-        return 0.0
+    if entry.operation in _DOCUMENT_OPS:
+        document = None if entry.operation == OP_DELETE else entry.document
+        return collection.apply_replicated(
+            entry.record_id, document, entry.size).simulated_seconds
     raise DocumentStoreError(f"unknown oplog operation {entry.operation!r}")

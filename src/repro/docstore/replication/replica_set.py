@@ -727,15 +727,15 @@ class ReplicaSet:
 
     def _make_listener(self, database: str, collection: str) -> Callable:
         def listener(operation: str, record_id: str,
-                     document: dict[str, Any] | None) -> None:
+                     document: dict[str, Any] | None, size: int | None) -> None:
             if getattr(self._replay_state, "replaying", False):
                 return
             # Post-images arriving here are the primary's frozen stored
-            # documents (copy-on-write write boundary): safe to log by
-            # reference.
+            # documents (copy-on-write write boundary): safe to log, and to
+            # install on every secondary, by reference.
             entry = self.oplog.append(self.term, operation, database, collection,
                                       record_id=record_id, document=document,
-                                      frozen=True)
+                                      frozen=True, size=size)
             self._advance_primary(entry.optime)
         return listener
 

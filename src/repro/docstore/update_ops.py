@@ -1,15 +1,31 @@
 """Update operators: ``$set``, ``$unset``, ``$inc``, ``$mul``, ``$push`` ...
 
-`apply_update` produces a *new* document; storage engines decide afterwards
-whether the new version fits in place (mmapv1 padding) or requires a rewrite.
+`apply_update` produces a *new* version of a stored (frozen) document, and
+its size, by copy-on-write: it shallow-copies the root, copies only the
+dicts and lists along each modified dotted path, and shares every untouched
+subtree with the previous version by reference.  Operands enter through the
+freeze helpers (validated deep copies), so the new version shares nothing
+mutable with the caller.  Sharing is safe because stored documents are never
+mutated in place; it also lets
+:func:`~repro.docstore.documents.resize_document` and
+:meth:`~repro.docstore.indexes.IndexCatalog.replace_document` treat an
+unchanged object identity as proof that a field did not change.  Storage
+engines decide afterwards whether the new version fits in place (mmapv1
+padding) or requires a rewrite.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Any
 
-from repro.docstore.documents import get_path, set_path, unset_path, validate_document
+from repro.docstore.documents import (
+    freeze_document,
+    freeze_value,
+    get_path,
+    resize_document,
+    set_path,
+    unset_path,
+)
 from repro.errors import DocumentStoreError
 
 _SUPPORTED = {
@@ -32,19 +48,25 @@ def is_update_document(update: dict[str, Any]) -> bool:
     return isinstance(update, dict) and any(key.startswith("$") for key in update)
 
 
-def apply_update(document: dict[str, Any], update: dict[str, Any]) -> dict[str, Any]:
-    """Return a new document with ``update`` applied to ``document``.
+def apply_update(document: dict[str, Any], size: int,
+                 update: dict[str, Any]) -> tuple[dict[str, Any], int]:
+    """Return the new version of ``document`` (of ``size`` bytes) under
+    ``update``, together with the new version's size.
 
-    Whole-document replacement preserves the original ``_id``; operator
-    updates are applied field by field.
+    Whole-document replacement freezes the replacement (validated, copied
+    and sized in one walk) and preserves the original ``_id``; operator
+    updates are applied field by field, copy-on-write, and sized by delta
+    (:func:`~repro.docstore.documents.resize_document`).  ``document``
+    itself is never modified.
     """
     if not is_update_document(update):
-        replacement = copy.deepcopy(update)
-        validate_document(replacement)
-        replacement["_id"] = document["_id"]
-        return replacement
+        replacement, replacement_size = freeze_document(update)
+        new_document = dict(replacement)
+        new_document["_id"] = document["_id"]
+        return new_document, resize_document(replacement, replacement_size,
+                                             new_document)
 
-    result = copy.deepcopy(document)
+    new_document = dict(document)
     for operator, spec in update.items():
         if operator not in _SUPPORTED:
             raise DocumentStoreError(f"unknown update operator {operator!r}")
@@ -53,13 +75,13 @@ def apply_update(document: dict[str, Any], update: dict[str, Any]) -> dict[str, 
         for path, operand in spec.items():
             if path == "_id":
                 raise DocumentStoreError("the _id field cannot be modified")
-            _apply_one(result, operator, path, operand)
-    return result
+            _apply_one(new_document, operator, path, operand)
+    return new_document, resize_document(document, size, new_document)
 
 
 def _apply_one(document: dict[str, Any], operator: str, path: str, operand: Any) -> None:
     if operator == "$set":
-        set_path(document, path, copy.deepcopy(operand))
+        set_path(document, path, freeze_value(operand, path))
         return
     if operator == "$unset":
         unset_path(document, path)
@@ -81,62 +103,48 @@ def _apply_one(document: dict[str, Any], operator: str, path: str, operand: Any)
                 )
         if not isinstance(operand, (int, float)) or isinstance(operand, bool):
             raise DocumentStoreError(f"{operator} requires a numeric operand")
-        if operator == "$inc":
-            base = current if found else 0
-            set_path(document, path, base + operand)
-        else:
-            base = current if found else 0
-            set_path(document, path, base * operand)
+        base = current if found else 0
+        set_path(document, path, base + operand if operator == "$inc" else base * operand)
         return
 
     if operator in ("$min", "$max"):
-        if not found:
-            set_path(document, path, copy.deepcopy(operand))
-            return
-        if operator == "$min" and operand < current:
-            set_path(document, path, copy.deepcopy(operand))
-        if operator == "$max" and operand > current:
-            set_path(document, path, copy.deepcopy(operand))
+        if (not found or (operator == "$min" and operand < current)
+                or (operator == "$max" and operand > current)):
+            set_path(document, path, freeze_value(operand, path))
         return
 
     # Array operators below.
     if operator == "$push":
-        array = current if found and isinstance(current, list) else []
         if found and not isinstance(current, list):
             raise DocumentStoreError(f"cannot $push to non-array field {path!r}")
-        array = list(array)
+        array = list(current) if found else []
         if isinstance(operand, dict) and "$each" in operand:
-            array.extend(copy.deepcopy(operand["$each"]))
+            array.extend(freeze_value(item, path) for item in operand["$each"])
         else:
-            array.append(copy.deepcopy(operand))
+            array.append(freeze_value(operand, path))
         set_path(document, path, array)
         return
 
     if operator == "$addToSet":
-        array = current if found and isinstance(current, list) else []
         if found and not isinstance(current, list):
             raise DocumentStoreError(f"cannot $addToSet to non-array field {path!r}")
-        array = list(array)
+        array = current if found else []
         if operand not in array:
-            array.append(copy.deepcopy(operand))
-        set_path(document, path, array)
+            set_path(document, path, array + [freeze_value(operand, path)])
         return
 
     if operator == "$pull":
         if not found or not isinstance(current, list):
             return
-        set_path(document, path, [item for item in current if item != operand])
+        kept = [item for item in current if item != operand]
+        if len(kept) != len(current):
+            set_path(document, path, kept)
         return
 
     if operator == "$pop":
         if not found or not isinstance(current, list) or not current:
             return
-        array = list(current)
-        if operand == -1:
-            array.pop(0)
-        else:
-            array.pop()
-        set_path(document, path, array)
+        set_path(document, path, current[1:] if operand == -1 else current[:-1])
         return
 
     raise DocumentStoreError(f"unknown update operator {operator!r}")

@@ -120,6 +120,10 @@ class WiredTigerEngine(StorageEngine):
         found, record, __ = self._tree.search(record_id)
         return record[0] if found else None
 
+    def peek_with_size(self, record_id: str) -> tuple[dict[str, Any] | None, int]:
+        found, record, __ = self._tree.search(record_id)
+        return record if found else (None, 0)
+
     def update(self, record_id: str, document: dict[str, Any],
                size: int | None = None) -> float:
         new_size = self._size_of(document, size)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.docstore.client import DocumentClient
+from repro.docstore.documents import document_size
 from repro.docstore.replication import (
     READ_NEAREST,
     READ_SECONDARY,
@@ -13,6 +14,7 @@ from repro.docstore.replication import (
     ReplicaSet,
     resolve_write_concern,
 )
+from repro.docstore.topology import TopologySpec, build_topology
 from repro.errors import DocumentStoreError, WriteConcernError
 
 
@@ -141,6 +143,58 @@ class TestDdlReplication:
         assert replica_set.drop_index("nope", "ghost", "field") is False
         for member in replica_set.members:
             assert member.server.database_names() == ["app"]
+
+
+def replica_sets_of(deployment) -> list[ReplicaSet]:
+    """The replica sets behind a replica set or a replicated cluster."""
+    if isinstance(deployment, ReplicaSet):
+        return [deployment]
+    return [deployment.replica_set(index) for index in range(deployment.shard_count)]
+
+
+def member_documents(replica_set: ReplicaSet) -> list[dict | None]:
+    """Every member's stored version of record ``"1"`` (``None`` when absent)."""
+    return [member.server.database("app").collection("docs").engine.peek("1")
+            for member in replica_set.members]
+
+
+REPLICATED = {
+    "replica_set": TopologySpec(replicas=3, write_concern="majority"),
+    "replicated_cluster": TopologySpec(shards=2, replicas=3, write_concern="majority"),
+}
+
+
+@pytest.fixture(params=sorted(REPLICATED), name="replicated")
+def replicated_fixture(request):
+    return build_topology(REPLICATED[request.param])
+
+
+class TestReplayByRecordId:
+    """Secondaries replay by record id and hold the primary's own objects."""
+
+    def test_non_string_id_updates_and_deletes_reach_secondaries(self, replicated):
+        handle = DocumentClient(replicated).collection("app", "docs")
+        handle.insert_one({"_id": 1, "x": 1})
+        handle.update_one({"_id": 1}, {"$set": {"x": 2}})
+        owners = [rs for rs in replica_sets_of(replicated)
+                  if rs.require_primary().server.database("app")
+                  .collection("docs").engine.peek("1") is not None]
+        assert len(owners) == 1
+        assert member_documents(owners[0]) == [{"_id": 1, "x": 2}] * 3
+        handle.delete_one({"_id": 1})
+        assert member_documents(owners[0]) == [None] * 3
+
+    def test_members_and_oplog_share_one_frozen_post_image(self, replicated):
+        handle = DocumentClient(replicated).collection("app", "docs")
+        handle.insert_one({"_id": "1", "nested": {"n": 1}, "x": 1})
+        handle.update_one({"_id": "1"}, {"$inc": {"x": 1}})
+        for replica_set in replica_sets_of(replicated):
+            stored = member_documents(replica_set)
+            if stored[0] is None:
+                continue
+            assert all(document is stored[0] for document in stored)
+            assert replica_set.oplog.entries[-1].document is stored[0]
+            assert replica_set.oplog.entries[-1].size == document_size(stored[0])
 
 
 class TestIntrospection:

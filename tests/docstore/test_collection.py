@@ -171,6 +171,30 @@ class TestIndexes:
         with pytest.raises(DuplicateKeyError):
             collection.insert_one({"email": "a@example.org"})
 
+    def test_failed_unique_update_keeps_index_entries(self, collection):
+        """A unique violation on update must leave the old entries in place."""
+        collection.create_index("u", unique=True)
+        collection.create_index("tag")
+        collection.insert_many([{"_id": "a", "u": 1, "tag": "x"},
+                                {"_id": "b", "u": 2, "tag": "y"}])
+        with pytest.raises(DuplicateKeyError):
+            collection.update_one({"_id": "a"}, {"$set": {"tag": "z", "u": 2}})
+        assert [doc["_id"] for doc in collection.find({"u": 1})] == ["a"]
+        assert [doc["_id"] for doc in collection.find({"tag": "x"})] == ["a"]
+        assert collection.find_with_cost({"tag": "z"}).matched_count == 0
+        with pytest.raises(DuplicateKeyError):
+            collection.insert_one({"_id": "c", "u": 1})
+        assert collection.find_one({"_id": "a"}) == {"_id": "a", "u": 1, "tag": "x"}
+
+    def test_failed_unique_backfill_leaves_no_index(self, collection):
+        collection.insert_many([{"_id": "a", "u": 1}, {"_id": "b", "u": 1}])
+        with pytest.raises(DuplicateKeyError):
+            collection.create_index("u", unique=True)
+        assert collection.indexes.get("u") is None
+        assert collection.explain({"u": 1})["winning_plan"]["access_path"] == "FULL_SCAN"
+        collection.create_index("u")
+        assert collection.find_with_cost({"u": 1}).matched_count == 2
+
     def test_drop_index(self, collection):
         collection.create_index("city")
         assert collection.drop_index("city") is True

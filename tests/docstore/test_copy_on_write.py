@@ -10,19 +10,38 @@ safety now rests on two invariants this suite pins down:
   returns defensive copies, so mutating a returned document -- however deeply
   -- cannot change stored data, secondary-index entries, oplog post-images or
   replicated members, on any deployment shape.
+
+Because stored documents are never mutated in place, updates share every
+untouched subtree with the previous version, and replicas share the
+primary's objects; the last part of this suite pins that sharing, the delta
+sizes it enables, and the simulated costs it must not move.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.docstore.client import DocumentClient
+from repro.docstore.collection import Collection
+from repro.docstore.documents import (
+    clone_document,
+    document_size,
+    freeze_document,
+    get_path,
+)
+from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.replication.replica_set import ReplicaSet
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding.cluster import ShardedCluster
 from repro.docstore.topology import TopologySpec, build_topology
+from repro.docstore.update_ops import apply_update
+from repro.docstore.wiredtiger import WiredTigerEngine
+from repro.errors import DocumentStoreError
 
 
 def _make_documents(count: int) -> list[dict]:
@@ -230,3 +249,235 @@ def test_property_client_mutation_never_leaks(operations):
     mutated = _canonical(handle.find({}))
     expected = _canonical(reference_collection.find_with_cost({}).documents)
     assert mutated == expected
+
+
+# -- copy-on-write updates ---------------------------------------------------------
+#
+# Updates copy only the containers on each modified path; every untouched
+# subtree is shared by reference with the previous version, across members
+# and with the oplog.  Mutating a client copy or an operand reaches none of
+# them, and the delta-sized versions keep the byte accounting exact.
+
+SHARING_BASE = {
+    "_id": "a", "n": 1, "name": "x",
+    "nested": {"deep": {"v": 1}, "side": {"s": [1, 2]}, "tags": [{"t": 1}, {"t": 2}]},
+    "other": {"o": [1]},
+}
+CONTAINER_PATHS = ["nested", "nested.deep", "nested.side", "nested.side.s",
+                   "nested.tags", "nested.tags.0", "nested.tags.1", "other", "other.o"]
+
+
+@pytest.mark.parametrize("update, copied", [
+    ({"$set": {"name": "y"}}, set()),
+    ({"$set": {"nested.deep.v": 2}}, {"nested", "nested.deep"}),
+    ({"$set": {"nested.tags.1.t": 3}}, {"nested", "nested.tags", "nested.tags.1"}),
+    ({"$inc": {"n": 1, "nested.deep.v": 1}}, {"nested", "nested.deep"}),
+    ({"$unset": {"nested.side.s": "", "missing.path": ""}}, {"nested", "nested.side"}),
+    ({"$rename": {"nested.deep": "moved"}}, {"nested"}),
+    ({"$push": {"nested.side.s": 3}}, {"nested", "nested.side", "nested.side.s"}),
+], ids=["set", "set-dotted", "set-array-path", "inc", "unset", "rename", "push"])
+def test_updates_share_untouched_subtrees(update, copied):
+    old, __ = freeze_document(SHARING_BASE)
+    snapshot = clone_document(old)
+    new, size = apply_update(old, document_size(old), update)
+    assert size == document_size(new)
+    assert old == snapshot  # the previous version is never modified
+    assert new is not old
+    for path in CONTAINER_PATHS:
+        found, value = get_path(new, path)
+        if not found:
+            continue
+        if path in copied:
+            assert value is not get_path(old, path)[1], path
+        else:
+            assert value is get_path(old, path)[1], path
+    if "$rename" in update:
+        assert new["moved"] is old["nested"]["deep"]
+
+
+@pytest.mark.parametrize("engine_cls", [WiredTigerEngine, MmapV1Engine],
+                         ids=["wiredtiger", "mmapv1"])
+def test_stored_versions_share_untouched_subtrees(engine_cls):
+    collection = Collection("c", engine_cls())
+    collection.insert_one(SHARING_BASE)
+    before = collection.engine.peek("a")
+    collection.update_one({"_id": "a"}, {"$set": {"nested.deep.v": 5}})
+    after = collection.engine.peek("a")
+    assert after["nested"]["deep"] == {"v": 5} and before["nested"]["deep"] == {"v": 1}
+    assert after["other"] is before["other"]
+    assert after["nested"]["tags"] is before["nested"]["tags"]
+
+
+class TestOperandIsolation:
+    """Operands are frozen on the way in: mutating them later changes nothing."""
+
+    EXPECTED = {"_id": "a", "arr": [{"p": [1]}],
+                "payload": {"list": [1, 2], "inner": {"k": "v"}}}
+
+    def _assert_everywhere(self, replica_set, handle, expected) -> None:
+        for member in replica_set.members:
+            stored = member.server.database("db").collection("users").engine.peek("a")
+            assert stored == expected
+        assert replica_set.oplog.entries[-1].document == expected
+        assert handle.find({"payload.list": "corrupted"}) == []
+
+    def test_mutating_operands_and_client_copies(self):
+        replica_set = ReplicaSet(members=3, write_concern="majority")
+        handle = DocumentClient(replica_set).collection("db", "users")
+        handle.create_index("payload.list")
+        handle.insert_one({"_id": "a", "arr": []})
+        payload = {"list": [1, 2], "inner": {"k": "v"}}
+        pushed = {"p": [1]}
+        handle.update_one({"_id": "a"}, {"$set": {"payload": payload},
+                                         "$push": {"arr": pushed}})
+        payload["list"].append("corrupted")
+        payload["inner"]["k"] = "corrupted"
+        pushed["p"].append("corrupted")
+        self._assert_everywhere(replica_set, handle, self.EXPECTED)
+        returned = handle.find_one({"_id": "a"})
+        returned["payload"]["list"].append("corrupted")
+        returned["arr"][0]["p"].clear()
+        self._assert_everywhere(replica_set, handle, self.EXPECTED)
+        assert [doc["_id"] for doc in handle.find({"payload.list": 2})] == ["a"]
+
+    def test_mutating_a_replacement_document(self):
+        replica_set = ReplicaSet(members=3, write_concern="majority")
+        handle = DocumentClient(replica_set).collection("db", "users")
+        handle.create_index("payload.list")
+        handle.insert_one({"_id": "a"})
+        replacement = {"arr": [{"p": [1]}],
+                       "payload": {"list": [1, 2], "inner": {"k": "v"}}}
+        handle.update_one({"_id": "a"}, replacement)
+        replacement["payload"]["list"].append("corrupted")
+        replacement["arr"].append("corrupted")
+        self._assert_everywhere(replica_set, handle, self.EXPECTED)
+
+
+def _random_update(rng: random.Random, step: int) -> dict:
+    value = rng.choice([step, f"s{'x' * rng.randrange(30)}", [step, "v"],
+                        {"k": step, "l": [1]}, None, 2.5, True])
+    return rng.choice([
+        {"$set": {rng.choice(["s", "t", "a.b", "a.c.0", "a.new.x"]): value}},
+        {"$unset": {rng.choice(["s", "a.b", "a.c", "a.new"]): ""}},
+        {"$inc": {rng.choice(["n", "a.b"]): rng.randrange(-3, 4)}},
+        {"$rename": {"s": "t"}} if rng.random() < 0.5 else {"$rename": {"t": "s"}},
+        {"$push": {"a.c": value}},
+        {"$push": {"a.c": {"$each": [step, step + 1]}}},
+        {"$addToSet": {"a.c": rng.randrange(4)}},
+        {"$pull": {"a.c": rng.randrange(4)}},
+        {"$pop": {"a.c": rng.choice([1, -1])}},
+        {"$min": {"n": rng.randrange(-50, 50)}, "$max": {"m": rng.randrange(50)}},
+        {"a": {"b": step, "c": [1]}, "s": "r" * rng.randrange(20)},
+        {"$set": {"bad.$field": 1}},
+    ])
+
+
+@pytest.mark.parametrize("engine_cls", [WiredTigerEngine, MmapV1Engine],
+                         ids=["wiredtiger", "mmapv1"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_delta_sizes_equal_full_measurement(engine_cls, seed):
+    """Every delta-sized write stores exactly ``document_size`` of its version."""
+    collection = Collection("c", engine_cls())
+    collection.create_index("a.b")
+    ids = [f"d{index}" for index in range(12)]
+    collection.insert_many([{"_id": record_id, "a": {"b": 1, "c": [1]}, "s": "x"}
+                            for record_id in ids])
+    rng = random.Random(seed)
+    for step in range(300):
+        record_id = rng.choice(ids)
+        before = collection.engine.peek(record_id)
+        try:
+            collection.update_one({"_id": record_id}, _random_update(rng, step))
+        except DocumentStoreError:
+            assert collection.engine.peek(record_id) is before  # nothing written
+        document, size = collection.engine.peek_with_size(record_id)
+        assert size == document_size(document)
+    collection.engine.verify_accounting()
+    # The changed-key index maintenance left exactly what a rebuild holds.
+    documents = [document for __, document, __ in collection.engine.scan()]
+    rebuilt = Collection("rebuilt", engine_cls())
+    rebuilt.insert_many(documents)
+    rebuilt.create_index("a.b")
+    index, fresh = collection.indexes.get("a.b"), rebuilt.indexes.get("a.b")
+    assert len(index) == len(fresh)
+    assert index.ordered_records() == fresh.ordered_records()
+    for document in documents:
+        found, value = get_path(document, "a.b")
+        if found:
+            assert index.lookup(value) == fresh.lookup(value)
+
+
+def _seeded_mix(spec: TopologySpec) -> tuple[float, float]:
+    """A seeded update+read mix: (client-visible seconds, every engine's seconds)."""
+    deployment = build_topology(spec)
+    handle = DocumentClient(deployment).collection("db", "items")
+    rng = random.Random(20201)
+    handle.create_index("group")
+    handle.create_index("nested.tag")
+    total = 0.0
+    for index in range(60):
+        total += handle.insert_one({
+            "_id": f"k{index:03d}", "n": index, "group": index % 5,
+            "nested": {"tag": f"t{index % 3}", "list": [index]},
+            "payload": "x" * (index % 17)}).simulated_seconds
+    for step in range(400):
+        key = f"k{rng.randrange(60):03d}"
+        roll = rng.random()
+        if roll < 0.4:
+            result = handle.find_with_cost({"_id": key})
+        elif roll < 0.55:
+            result = handle.update_one(
+                {"_id": key}, {"$set": {"payload": "y" * rng.randrange(40)}})
+        elif roll < 0.65:
+            result = handle.update_one({"_id": key}, {
+                "$inc": {"n": 1}, "$set": {"nested.tag": f"t{step % 4}"}})
+        elif roll < 0.72:
+            result = handle.update_one({"_id": key}, {"$push": {"nested.list": step}})
+        elif roll < 0.78:
+            result = handle.update_many({"group": rng.randrange(5)},
+                                        {"$set": {"touched": step}})
+        elif roll < 0.84:
+            result = handle.update_one({"_id": key}, {
+                "_id": key, "n": step, "group": step % 5, "nested": {"tag": "r"}})
+        elif roll < 0.9:
+            result = handle.find_with_cost({"group": rng.randrange(5)})
+        elif roll < 0.95:
+            result = handle.update_one({"_id": key}, {
+                "$unset": {"payload": ""}, "$rename": {"touched": "was"}})
+        else:
+            total += handle.delete_one({"_id": key}).simulated_seconds
+            result = handle.insert_one(
+                {"_id": key, "n": -1, "group": 1, "nested": {"tag": "t0"}})
+        total += result.simulated_seconds
+    return total, sum(_engine_seconds(deployment))
+
+
+def _engine_seconds(deployment):
+    if isinstance(deployment, ShardedCluster):
+        for shard in deployment.shards:
+            yield from _engine_seconds(shard)
+    elif isinstance(deployment, ReplicaSet):
+        for member in deployment.members:
+            yield from _engine_seconds(member.server)
+    else:
+        yield deployment.database("db").collection("items").engine.costs.total_seconds
+
+
+# Recorded with the by-query replay and deep-copying updates this write path
+# replaced: the simulated axis must not move by a single bit.
+GOLDEN_SECONDS = {
+    ("wiredtiger", "standalone"): (0.027152667968749874, 0.02704466796874979),
+    ("wiredtiger", "replica_set"): (0.3340063359374986, 0.07125200390624964),
+    ("wiredtiger", "sharded"): (0.019894042968749904, 0.02725466796875001),
+    ("wiredtiger", "replicated_cluster"): (0.32396561718749883, 0.07146200390624995),
+    ("mmapv1", "standalone"): (0.029012727539062356, 0.028904727539062272),
+    ("mmapv1", "replica_set"): (0.33772645507812443, 0.07683218261718709),
+    ("mmapv1", "sharded"): (0.021800696289062397, 0.028994727539062518),
+    ("mmapv1", "replicated_cluster"): (0.32775985351562453, 0.07692218261718739),
+}
+
+
+@pytest.mark.parametrize("engine, kind", sorted(GOLDEN_SECONDS))
+def test_simulated_seconds_match_golden(engine, kind):
+    spec = dataclasses.replace(DEPLOYMENTS[kind], storage_engine=engine)
+    assert _seeded_mix(spec) == GOLDEN_SECONDS[engine, kind]

@@ -95,7 +95,8 @@ def test_btree_deletion_preserves_remaining_keys(inserts, deletes):
 def test_set_then_match_roundtrip(base, updates):
     """After ``$set`` of values, an equality query on them must match."""
     document = {"_id": "x", **base}
-    updated = apply_update(document, {"$set": updates})
+    updated, size = apply_update(document, document_size(document), {"$set": updates})
+    assert size == document_size(updated)
     assert matches(updated, dict(updates))
     assert updated["_id"] == "x"
 
@@ -117,7 +118,8 @@ def test_inc_accumulates_like_plain_addition(increments):
     document = {"_id": "x"}
     expected: dict[str, int] = {}
     for field, amount in increments:
-        document = apply_update(document, {"$inc": {field: amount}})
+        document, __ = apply_update(document, document_size(document),
+                                    {"$inc": {field: amount}})
         expected[field] = expected.get(field, 0) + amount
     for field, total in expected.items():
         assert document[field] == total

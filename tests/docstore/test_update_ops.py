@@ -4,8 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.docstore.update_ops import apply_update, is_update_document
+from repro.docstore import update_ops
+from repro.docstore.documents import document_size
+from repro.docstore.update_ops import is_update_document
 from repro.errors import DocumentStoreError
+
+
+def apply_update(document: dict, update: dict) -> dict:
+    """The updated document; its delta size must equal a full measurement."""
+    updated, size = update_ops.apply_update(document, document_size(document), update)
+    assert size == document_size(updated)
+    return updated
 
 BASE = {"_id": "d1", "count": 5, "name": "widget", "tags": ["a"], "nested": {"x": 1}}
 
